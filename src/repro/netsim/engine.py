@@ -35,8 +35,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..params import DEFAULT_PARAMS, HardwareParams
 from ..perf import counter_add, phase
-from .fastpath import fastpath_enabled, packet_split, store_and_forward_times
-from .scheduler import make_scheduler
+from .fastpath import fastpath_enabled, packet_split
 from .topology import Link, Topology
 
 Callback = Callable[["Message", float], None]
@@ -71,7 +70,7 @@ class _Packet:
     attempt: int = 0
 
 
-# Queue entries are plain ``(time, seq, action)`` tuples: the scheduler
+# Queue entries are plain ``(time, seq, action)`` tuples: ``heapq``
 # then orders with C-level tuple comparison (``seq`` breaks time ties,
 # so the ``action`` callables are never compared), which profiles
 # measurably faster than a dataclass ``__lt__`` at netsim event volumes.
@@ -118,14 +117,15 @@ class _LinkServer:
         # Round-robin: pop the front flow, rotate it to the back (or
         # drop it) after serving.
         flow_id, queue = self.queues.popitem(last=False)
-        # Uncontended fast path: with a single flow queued there is no
+        # Uncontended batching: with a single flow queued there is no
         # arbitration to perform, so a run of back-to-back packets is
         # serialised under one completion event instead of one per
-        # packet.  Per-packet arrival times are computed exactly as the
-        # packet-by-packet loop would (cumulative serialisation + hop
-        # latency), so delivered timestamps are identical; only the heap
-        # traffic shrinks.  Under contention the batch is one packet and
-        # the round-robin interleave is unchanged.
+        # packet; under contention the batch is one packet.  The burst
+        # is committed when it starts, so timestamps match
+        # ``max_batch_packets=1`` only if every competing flow is already
+        # queued by then: a mid-burst arrival waits for the whole burst,
+        # and fault windows, losses and ``bytes_carried`` see the burst's
+        # schedule (``tests/netsim/test_engine_batching.py``).
         batch = [queue.popleft()]
         if not self.queues:
             limit = sim.max_batch_packets - 1
@@ -140,51 +140,29 @@ class _LinkServer:
         rate = link.bytes_per_s
         latency = link.latency_s
         done_time = sim.now
-        heap = sim._heap
-        if heap is not None:
-            # Inline the ``schedule`` heap push: ``done_time`` only ever
-            # advances from ``sim.now``, so the cannot-schedule-in-the-
-            # past check is vacuous here, and drawing seq numbers in the
-            # same order keeps the event ordering bit-identical.
-            push = heapq.heappush
-            seq = sim._seq
-            if faults is None or not faults.may_drop:
-                for packet in batch:
-                    wire = packet.wire_bytes
-                    done_time += wire / rate
-                    link.bytes_carried += wire
-                    push(heap, (done_time + latency, next(seq), partial(arrived, packet)))
-            else:
-                for packet in batch:
-                    wire = packet.wire_bytes
-                    done_time += wire / rate
-                    link.bytes_carried += wire
-                    if faults.drop_packet(link, packet, done_time):
-                        self._handle_drop(packet, done_time, faults)
-                    else:
-                        push(
-                            heap,
-                            (done_time + latency, next(seq), partial(arrived, packet)),
-                        )
-            push(heap, (done_time, next(seq), self._serve_next))
+        # Inline the ``schedule`` heap push: ``done_time`` only ever
+        # advances from ``sim.now``, so the cannot-schedule-in-the-past
+        # check is vacuous here, and drawing seq numbers in the same
+        # order keeps the event ordering unchanged.
+        events = sim._events
+        push = heapq.heappush
+        seq = sim._seq
+        if faults is None or not faults.may_drop:
+            for packet in batch:
+                wire = packet.wire_bytes
+                done_time += wire / rate
+                link.bytes_carried += wire
+                push(events, (done_time + latency, next(seq), partial(arrived, packet)))
         else:
-            schedule = sim.schedule
-            if faults is None or not faults.may_drop:
-                for packet in batch:
-                    wire = packet.wire_bytes
-                    done_time += wire / rate
-                    link.bytes_carried += wire
-                    schedule(done_time + latency, partial(arrived, packet))
-            else:
-                for packet in batch:
-                    wire = packet.wire_bytes
-                    done_time += wire / rate
-                    link.bytes_carried += wire
-                    if faults.drop_packet(link, packet, done_time):
-                        self._handle_drop(packet, done_time, faults)
-                    else:
-                        schedule(done_time + latency, partial(arrived, packet))
-            schedule(done_time, self._serve_next)
+            for packet in batch:
+                wire = packet.wire_bytes
+                done_time += wire / rate
+                link.bytes_carried += wire
+                if faults.drop_packet(link, packet, done_time):
+                    self._handle_drop(packet, done_time, faults)
+                else:
+                    push(events, (done_time + latency, next(seq), partial(arrived, packet)))
+        push(events, (done_time, next(seq), self._serve_next))
         sim._packets_served_accum += len(batch)
 
     def _handle_drop(self, packet: _Packet, done_time: float, faults) -> None:
@@ -246,9 +224,9 @@ class FaultHooks:
         always available, never drops), ``"dead"`` (unavailable for the
         whole horizon, i.e. a permanent failure no later than ``t0``)
         or ``"dirty"`` (anything time-dependent).  The conservative
-        default keeps fast paths off for injectors that do not opt in —
-        an unknown hook can observe per-packet traffic the coalesced
-        schedule never generates.
+        default keeps the collective shortcuts off for injectors that do
+        not opt in — an unknown hook can observe per-packet traffic the
+        closed-form schedule never generates.
         """
         return "dirty"
 
@@ -264,7 +242,6 @@ class NetworkSimulator:
         max_batch_packets: int = 16,
         faults: Optional["FaultHooks"] = None,
         fastpath: Optional[bool] = None,
-        scheduler: Optional[str] = None,
     ) -> None:
         if max_batch_packets < 1:
             raise ValueError(f"max_batch_packets must be >= 1, got {max_batch_packets}")
@@ -272,23 +249,23 @@ class NetworkSimulator:
         self.params = params
         self.packet_bytes = packet_bytes or params.data_packet_bytes
         #: Upper bound on packets serialised per uncontended link event;
-        #: 1 reproduces the strict one-event-per-packet engine.
+        #: 1 is the strict one-event-per-packet engine.  Larger limits
+        #: give the same timestamps only while no flow arrives mid-burst
+        #: and no fault window, loss or ``run(until=)`` cut lands inside
+        #: one (see ``_LinkServer._serve_next``).
         self.max_batch_packets = max_batch_packets
         #: Optional fault injector (duck-typed: see :class:`FaultHooks`).
         #: ``None`` keeps every fault branch off the hot path.
         self.faults = faults
-        #: Whether the bit-identical fast paths (flow coalescing and the
-        #: collective shortcuts of :mod:`repro.netsim.fastpath`) may
-        #: fire; ``None`` reads ``REPRO_NETSIM_REFERENCE``.
+        #: Whether the bit-identical collective shortcuts of
+        #: :mod:`repro.netsim.fastpath` may fire; ``None`` reads
+        #: ``REPRO_NETSIM_REFERENCE``.
         self.fastpath = fastpath_enabled() if fastpath is None else bool(fastpath)
         if faults is not None:
             faults.bind(topology)
         self.now = 0.0
-        self._events = make_scheduler(scheduler)
-        #: Raw event list of the heap backend (``None`` for any other
-        #: scheduler): lets ``schedule``/``run`` drive C-level heapq
-        #: directly instead of paying a Python method hop per event.
-        self._heap = getattr(self._events, "_heap", None)
+        #: The event queue: a ``heapq`` list of ``_Event`` tuples.
+        self._events: List[_Event] = []
         #: Wire-size splits by message size (splits repeat massively in
         #: collectives; the lists are shared and read-only).
         self._split_cache: Dict[int, List[int]] = {}
@@ -300,29 +277,20 @@ class NetworkSimulator:
         #: Engine events popped so far — the quantity packet batching
         #: exists to reduce (see ``_LinkServer._serve_next``).
         self.events_processed = 0
-        #: Messages completed via flow-level coalescing (observability).
-        self.flows_coalesced = 0
         #: Deferred ``netsim.packets_served`` counter delta (published
         #: once per ``run`` by ``_flush_counters``).
         self._packets_served_accum = 0
-        #: The ``until`` horizon of the active ``run`` call; coalescing
-        #: declines any flow whose completion would overrun it, so the
-        #: partial-delivery semantics of a paused run are preserved.
-        self._run_until: Optional[float] = None
 
     # ---- event machinery ---------------------------------------------------
     def schedule(self, time: float, action: Callable[[], None]) -> None:
         if time < self.now - 1e-15:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        if self._heap is not None:
-            heapq.heappush(self._heap, (time, next(self._seq), action))
-        else:
-            self._events.push(time, next(self._seq), action)
+        heapq.heappush(self._events, (time, next(self._seq), action))
 
     def is_quiescent(self) -> bool:
         """No pending events and every link server idle and empty — the
-        precondition under which a coalesced flow cannot contend with
-        (or be observed by) anything else in flight."""
+        precondition under which a collective shortcut cannot contend
+        with (or be observed by) anything else in flight."""
         if self._events:
             return False
         for server in self._servers.values():
@@ -333,43 +301,23 @@ class NetworkSimulator:
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue; returns the final simulated time."""
         with phase("netsim"):
-            self._run_until = until
             processed = 0
             try:
                 events = self._events
-                # The heap backend exposes its raw list so this loop can
-                # drive C-level heappop directly — the scheduler method
-                # indirection costs real time at netsim event volumes.
-                # Event order (and so every result) is identical either
-                # way; that is the scheduler equivalence contract.
-                heap = self._heap
-                if heap is not None:
-                    pop = heapq.heappop
-                    while heap:
-                        event = pop(heap)
-                        time = event[0]
-                        if until is not None and time > until:
-                            heapq.heappush(heap, event)
-                            self.now = until
-                            return self.now
-                        self.now = time
-                        processed += 1
-                        event[2]()
-                else:
-                    while events:
-                        event = events.pop()
-                        time = event[0]
-                        if until is not None and time > until:
-                            events.push(*event)
-                            self.now = until
-                            return self.now
-                        self.now = time
-                        processed += 1
-                        event[2]()
+                pop = heapq.heappop
+                while events:
+                    event = pop(events)
+                    time = event[0]
+                    if until is not None and time > until:
+                        heapq.heappush(events, event)
+                        self.now = until
+                        return self.now
+                    self.now = time
+                    processed += 1
+                    event[2]()
             finally:
                 self.events_processed += processed
                 self._flush_counters()
-                self._run_until = None
         return self.now
 
     def _flush_counters(self) -> None:
@@ -410,19 +358,8 @@ class NetworkSimulator:
             self._split_cache[message.size_bytes] = sizes
         message.pending_packets = len(sizes)
         servers = self._servers
-        fastpath = self.fastpath
-        heap = self._heap
 
         def inject() -> None:
-            # Guard hoisted out of ``_try_coalesce``: under contention
-            # (pending events) the quiescence precondition fails on the
-            # first check, so skip the call entirely.
-            if (
-                fastpath
-                and not (heap if heap is not None else self._events)
-                and self._try_coalesce(message, route, sizes)
-            ):
-                return
             link = route[0]
             server = servers.get((link.src, link.dst))
             if server is None:
@@ -459,54 +396,6 @@ class NetworkSimulator:
 
         self.schedule(start, inject)
 
-    def _try_coalesce(self, message: Message, route: List[Link], sizes: List[int]) -> bool:
-        """Flow-level coalescing: collapse an entire message's
-        store-and-forward recurrence into one bulk completion event.
-
-        Fires only when this inject is the *sole* activity in the
-        simulator (quiescent queue and servers), every route link is
-        fault-clean over the flow's whole lifetime, and an active
-        ``run(until=...)`` horizon would not cut the flow off — under
-        those conditions no arbitration, drop, or pause can observe the
-        per-packet schedule, and the bulk event's timestamp is the
-        bit-exact fold the per-packet loop computes (see
-        :mod:`repro.netsim.fastpath`).
-        """
-        if not self.fastpath:
-            return False
-        if self._heap if self._heap is not None else self._events:
-            return False
-        for server in self._servers.values():
-            if server.busy or server.queues:
-                return False
-        start = self.now
-        deliveries = store_and_forward_times(
-            start, sizes, [(link.bytes_per_s, link.latency_s) for link in route]
-        )
-        finish = deliveries[-1]
-        if self._run_until is not None and finish > self._run_until:
-            return False
-        faults = self.faults
-        if faults is not None:
-            for link in route:
-                if faults.link_state(link, start, finish) != "clean":
-                    return False
-        total_wire = sum(sizes)
-        hops = len(route)
-        packets = len(sizes)
-
-        def complete_flow() -> None:
-            for link in route:
-                link.bytes_carried += total_wire
-            counter_add("netsim.packets_served", packets * hops)
-            counter_add("netsim.flows_coalesced", 1)
-            self.flows_coalesced += 1
-            message.pending_packets = 0
-            self._complete(message)
-
-        self.schedule(finish, complete_flow)
-        return True
-
     def _packet_arrived(self, packet: _Packet) -> None:
         packet.hop_index += 1
         packet.attempt = 0
@@ -539,6 +428,4 @@ class NetworkSimulator:
         self.messages_delivered = 0
         self.bytes_delivered = 0
         self.events_processed = 0
-        self.flows_coalesced = 0
         self._packets_served_accum = 0
-        self._run_until = None

@@ -1,44 +1,37 @@
-"""Closed-form fast paths over the packet engine — bit-identical by
-construction.
+"""Closed-form collective shortcuts over the packet engine —
+bit-identical by construction.
 
-This module extends the uncontended-batch precedent of the link server
-(``engine._LinkServer._serve_next``) three levels up:
-
-* **Flow-level coalescing** (:func:`store_and_forward_times` + the
-  engine's ``_try_coalesce``): a whole message traversing a quiescent
-  simulator collapses into one bulk completion event.
-* **Collective shortcuts** (:func:`ring_allreduce_shortcut`,
-  :func:`all_to_all_shortcut`): a symmetric ring all-reduce or a
-  fully-connected all-to-all on an idle simulator is priced without
-  creating a single packet, including per-link wire-byte accounting
-  that matches the COST004 closed forms (``2*(N-1)*MB`` ring wire
-  bytes, ``N*(N-1)*BPP`` all-to-all wire bytes).
+This module lifts the link server's uncontended batch
+(``engine._LinkServer._serve_next``) from one link to a whole
+collective: a symmetric ring all-reduce (:func:`ring_allreduce_shortcut`)
+or a fully-connected all-to-all (:func:`all_to_all_shortcut`) on an idle
+simulator is priced without creating a single packet, including
+per-link wire-byte accounting that matches the COST004 closed forms
+(``2*(N-1)*MB`` ring wire bytes, ``N*(N-1)*BPP`` all-to-all wire bytes).
 
 The equivalence contract — the reason these are *fast paths* and not
 *approximations* — is that every produced timestamp is the bit-exact
-IEEE-754 value the per-packet event loop would compute.  The engine's
+IEEE-754 value the packet engine would compute.  The engine's
 arithmetic is a left-to-right fold: a link serialising packet ``i``
-computes ``done = fl(max(done, arrival_i) + wire_i/rate)`` and delivers
-at ``fl(done + latency)``, with batching boundaries never changing the
-accumulated value (PR 2's invariant).  The kernels below replay exactly
-that fold — they never algebraically simplify ``k`` additions of
-``s/r`` into ``k*s/r``, which would differ in the last ulp.
+computes ``done = fl(done + wire_i/rate)`` and delivers at
+``fl(done + latency)``.  The kernels below replay exactly that fold —
+they never algebraically simplify ``k`` additions of ``s/r`` into
+``k*s/r``, which would differ in the last ulp.
 
 Fallback is always safe and always total: every precondition failure
-returns ``None``/``False`` and the caller runs the reference per-packet
-path.  The preconditions are:
+returns ``None`` and the caller runs the packet engine.  The
+preconditions are:
 
 * the fast path is enabled (``REPRO_NETSIM_REFERENCE=1`` disables it);
 * the simulator is quiescent (no pending events, no busy or queued
-  link server) so nothing can contend with the coalesced flow;
+  link server) so nothing can contend with the collective;
 * any attached fault injector classifies every involved link as
-  ``"clean"`` over the whole coalesced horizon (ring shortcuts also
-  accept ``"dead"`` links — stranding is deterministic); an injector
-  that does not implement :meth:`FaultHooks.link_state`, or any finite
-  fault window or packet-loss rule touching the horizon, disables the
-  fast path (``"dirty"``);
-* a ``run(until=...)`` / collective deadline would not truncate the
-  coalesced work mid-flight.
+  ``"clean"`` over the whole horizon (ring shortcuts also accept
+  ``"dead"`` links — stranding is deterministic); the default
+  :meth:`FaultHooks.link_state`, or any finite fault window or
+  packet-loss rule touching the horizon, disables the fast path
+  (``"dirty"``);
+* a collective deadline would not truncate the work mid-flight.
 """
 
 from __future__ import annotations
@@ -81,41 +74,6 @@ def packet_split(size_bytes: int, payload_bytes: int, header_bytes: int) -> List
     if tail:
         sizes.append(tail + header_bytes)
     return sizes
-
-
-def store_and_forward_times(
-    start: float,
-    sizes: Sequence[int],
-    hops: Sequence[Tuple[float, float]],
-) -> List[float]:
-    """Per-packet delivery times at the final hop of ``hops``.
-
-    Replays the engine's store-and-forward fold for one uncontended
-    flow whose packets are all queued at ``start``: on each hop
-    ``(rate, latency)``, packet ``i`` starts at ``max(done, arrival_i)``,
-    finishes serialising at ``fl(start_i + wire_i/rate)`` and arrives
-    downstream at ``fl(done_i + latency)``.  The returned list is
-    nondecreasing, so its last element is the flow completion time.
-    """
-    times = [start] * len(sizes)
-    for rate, latency in hops:
-        done = float("-inf")
-        out = []
-        for arrival, wire in zip(times, sizes):
-            begin = arrival if arrival > done else done
-            done = begin + wire / rate
-            out.append(done + latency)
-        times = out
-    return times
-
-
-def _hooks_link_state(faults, link, t0: float, t1: float) -> str:
-    """Classify ``link`` over ``[t0, t1]`` via the injector's
-    capability hook; injectors without one are conservatively dirty."""
-    state_fn = getattr(faults, "link_state", None)
-    if state_fn is None:
-        return "dirty"
-    return state_fn(link, t0, t1)
 
 
 def _serialise_step(start: float, sizes: Sequence[int], rate: float) -> float:
@@ -240,7 +198,7 @@ def _ring_shortcut_locked(
     dead = [False] * n
     if faults is not None:
         for li, link in enumerate(links):
-            state = _hooks_link_state(faults, link, start_time, finish_bound)
+            state = faults.link_state(link, start_time, finish_bound)
             if state == "dead":
                 dead[li] = True
             elif state != "clean":
@@ -367,7 +325,7 @@ def all_to_all_shortcut(
         faults = sim.faults
         if faults is not None:
             for link in links:
-                if _hooks_link_state(faults, link, start_time, finish) != "clean":
+                if faults.link_state(link, start_time, finish) != "clean":
                     return None
         wire = sum(sizes)
         for link in links:

@@ -165,13 +165,15 @@ def _bench_faults_battery() -> Optional[List]:
 
 
 def _bench_netsim_battery() -> Optional[List]:
-    """Netsim fast-path battery: collectives on the paper grids, raw
-    multi-hop flows, and a flit-level worm, returned as canonical rows.
+    """Netsim battery: collectives on the paper grids, raw multi-hop
+    flows, and a flit-level worm, returned as canonical rows.
 
     Every value in the rows is an engine-produced float, so the row
-    digest is the fast-path equivalence observable: running this
-    benchmark with ``REPRO_NETSIM_REFERENCE=1`` must produce the same
-    ``result_digest`` byte for byte (CI's bench-smoke diffs the two)."""
+    digest is the collective shortcuts' equivalence observable: running
+    this benchmark with ``REPRO_NETSIM_REFERENCE=1`` must produce the
+    same ``result_digest`` byte for byte (CI's bench-smoke diffs the
+    two).  The raw-flow and worm rows never take a shortcut; they pin
+    the batched packet engine and the flit engine's event loop."""
     from ..netsim import Message, NetworkSimulator, all_to_all, ring, ring_allreduce
     from ..netsim.topology import hybrid
     from ..netsim.wormhole import WormholeSimulator
@@ -211,7 +213,8 @@ def _bench_netsim_battery() -> Optional[List]:
             ),
         )
 
-    # Raw flows: multi-hop coalescing plus staggered contention fallback.
+    # Raw flows on the batched packet engine: two multi-hop flows from
+    # t=0, then a one-hop flow that meets the first on link 3->4.
     sim = NetworkSimulator(ring(16))
     completions: List = []
     for index, (src, dst, size, start) in enumerate(
@@ -232,7 +235,7 @@ def _bench_netsim_battery() -> Optional[List]:
          "completions": completions, "now": sim.now}
     )
 
-    # Flit level: one single-hop worm (the vectorised wormhole regime).
+    # Flit level: one single-hop worm on the event loop.
     worm = WormholeSimulator(ring(8))
     finishes: List[float] = []
     worm.send(0, 1, 64 * 1024, on_delivered=finishes.append)

@@ -1,9 +1,9 @@
-"""Golden bit-identity tests for the netsim fast paths.
+"""Golden bit-identity tests for the netsim collective shortcuts.
 
-The tentpole contract: with fast paths on (the default), every
-timestamp, byte count and completion flag is the bit-exact value the
-reference per-packet engine computes (``fastpath=False``, or process
-wide ``REPRO_NETSIM_REFERENCE=1``).  These tests run each workload
+The contract: with the shortcuts on (the default), every timestamp,
+byte count and completion flag is the bit-exact value the packet engine
+computes (``fastpath=False``, or process wide
+``REPRO_NETSIM_REFERENCE=1``).  These tests run each workload
 twice — fast and reference — on freshly built topologies and compare
 *everything observable*: the collective result dataclass, the final
 simulated time, per-link wire bytes, delivery counts and fault
@@ -25,7 +25,6 @@ from repro.faults.plan import (
     WorkerFault,
 )
 from repro.netsim import (
-    Message,
     NetworkSimulator,
     all_to_all,
     flattened_butterfly_2d,
@@ -117,7 +116,7 @@ class TestAllToAllIdentity:
 
     def test_two_hop_fbfly(self):
         """Diagonal pairs need two hops: the closed form declines and
-        the engine (with coalescing) must still match the reference."""
+        the engine must still match the reference."""
 
         def build(fastpath, injector):
             topo = flattened_butterfly_2d(2, 2)
@@ -235,43 +234,6 @@ class TestFaultScenarioIdentity:
         assert fast["full"].completed and not fast["cut"].completed
 
 
-class TestRawMessageIdentity:
-    def test_single_message_coalesces_identically(self):
-        def build(fastpath, injector):
-            topo = ring(4)
-            sim = NetworkSimulator(topo, fastpath=fastpath)
-            done = {}
-            sim.send(Message(src=0, dst=1, size_bytes=50_000,
-                             on_complete=lambda m, t: done.setdefault("t", t)))
-            sim.run()
-            return {"done": done, "now": sim.now,
-                    "links": _topo_snapshot(topo)}
-
-        _assert_identical(build)
-
-    def test_staggered_flows(self):
-        def build(fastpath, injector):
-            topo = ring(6)
-            sim = NetworkSimulator(topo, fastpath=fastpath)
-            times = []
-            for i, (src, dst, size, start) in enumerate([
-                (0, 1, 9_000, 0.0),
-                (1, 2, 5_000, 1e-6),
-                (0, 1, 2_000, 2e-6),
-                (3, 4, 64_000, 0.0),
-            ]):
-                sim.send(
-                    Message(src=src, dst=dst, size_bytes=size,
-                            on_complete=lambda m, t, i=i: times.append((i, t))),
-                    start_time=start,
-                )
-            sim.run()
-            return {"times": sorted(times), "now": sim.now,
-                    "links": _topo_snapshot(topo)}
-
-        _assert_identical(build)
-
-
 class TestEnvironmentToggle:
     def test_reference_env_var_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_NETSIM_REFERENCE", "1")
@@ -287,7 +249,7 @@ class TestEnvironmentToggle:
 
 
 class TestPropertyIdentity:
-    """Randomised equivalence: any ring collective and any bag of flows
+    """Randomised equivalence: any ring collective, clean or lossy,
     must agree between the fast and reference engines."""
 
     @settings(max_examples=25, deadline=None)
@@ -301,41 +263,6 @@ class TestPropertyIdentity:
             sim = NetworkSimulator(topo, fastpath=fastpath)
             result = ring_allreduce(sim, list(range(n)), message_bytes)
             return {"result": result, "now": sim.now,
-                    "links": _topo_snapshot(topo)}
-
-        _assert_identical(build)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        flows=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=5),
-                st.integers(min_value=0, max_value=5),
-                st.integers(min_value=1, max_value=50_000),
-                st.floats(min_value=0.0, max_value=1e-5,
-                          allow_nan=False, allow_infinity=False),
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    def test_random_flow_bags(self, flows):
-        flows = [(s, d, b, t) for s, d, b, t in flows if s != d]
-        if not flows:
-            return
-
-        def build(fastpath, injector):
-            topo = ring(6)
-            sim = NetworkSimulator(topo, fastpath=fastpath)
-            times = []
-            for i, (src, dst, size, start) in enumerate(flows):
-                sim.send(
-                    Message(src=src, dst=dst, size_bytes=size,
-                            on_complete=lambda m, t, i=i: times.append((i, t))),
-                    start_time=start,
-                )
-            sim.run()
-            return {"times": sorted(times), "now": sim.now,
                     "links": _topo_snapshot(topo)}
 
         _assert_identical(build)
