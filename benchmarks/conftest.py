@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List
 import pytest
 
 from repro.analysis import format_table
-from repro.statcheck import check_paths
+from repro.perf.bench import statcheck_stamp
 
 _REPO = Path(__file__).resolve().parents[1]
 
@@ -26,12 +26,9 @@ _DURATIONS: Dict[str, float] = {}
 
 
 def statcheck_summary() -> Dict[str, int]:
-    """Finding counts of the statcheck suite over the source tree."""
-    findings = check_paths([_REPO / "src" / "repro"])
-    return {
-        "statcheck_findings": len(findings),
-        "statcheck_errors": sum(1 for f in findings if f.severity.value == "error"),
-    }
+    """Finding counts of the statcheck suite over the source tree (one
+    analysis per tree content, shared with ``python -m repro bench``)."""
+    return statcheck_stamp(_REPO / "src" / "repro")
 
 
 def pytest_benchmark_update_machine_info(config, machine_info):

@@ -52,7 +52,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .profiler import (
     profiling_disabled,
@@ -432,17 +432,39 @@ def collect_machine_info() -> Dict:
     except ImportError:  # pragma: no cover - numpy is a hard dep in practice
         pass
     try:
-        from ..statcheck import check_paths
-
-        src = Path(__file__).resolve().parents[1]
-        findings = check_paths([src])
-        info["statcheck_findings"] = len(findings)
-        info["statcheck_errors"] = sum(
-            1 for f in findings if f.severity.value == "error"
-        )
+        info.update(statcheck_stamp(Path(__file__).resolve().parents[1]))
     except Exception:  # pragma: no cover - lint state is best-effort
         pass
     return info
+
+
+# The last stamp taken, as ``(tree digest, stamp)``: a whole-tree
+# statcheck pass costs seconds, and every ``run_benchmarks`` call stamps.
+_STATCHECK_STAMP: Optional[Tuple[str, Dict[str, int]]] = None
+
+
+def statcheck_stamp(src: Path) -> Dict[str, int]:
+    """Statcheck finding counts over ``src``, analysed once per tree
+    content: the stamp is reused while every analysed ``.py`` file (path
+    and bytes) is unchanged, and any edit re-analyses the tree."""
+    global _STATCHECK_STAMP
+    from ..statcheck import check_paths
+    from ..statcheck.engine import iter_python_files
+
+    digest = hashlib.sha256()
+    for path in iter_python_files([src]):
+        digest.update(str(path.relative_to(src)).encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    tree = digest.hexdigest()
+    if _STATCHECK_STAMP is None or _STATCHECK_STAMP[0] != tree:
+        findings = check_paths([src])
+        _STATCHECK_STAMP = (tree, {
+            "statcheck_findings": len(findings),
+            "statcheck_errors": sum(
+                1 for f in findings if f.severity.value == "error"
+            ),
+        })
+    return dict(_STATCHECK_STAMP[1])
 
 
 # ---- runner -----------------------------------------------------------------

@@ -26,6 +26,7 @@ import hashlib
 import inspect
 import os
 import pickle
+import weakref
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -114,12 +115,23 @@ _FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
 # Canonical forms of *frozen* dataclass instances, keyed by object
 # identity.  The sweeps pass the same config/params singletons to every
 # evaluation; recursing through their fields once per call dominated
-# key-building time.  The memo keeps a strong reference to each object,
-# so a live entry's ``id`` can never be reused by a different object.
-# Frozen dataclasses are treated as deeply immutable here — a frozen
-# config holding a list that is mutated in place would go stale, and no
-# repo config does that.
-_FROZEN_MEMO: Dict[int, Tuple[Any, Any]] = {}
+# key-building time.  Each entry holds only a weak reference whose
+# callback evicts the entry when its object dies, so the memo neither
+# keeps dead objects alive nor lets a later object that reuses the
+# ``id`` see a stale canonical form.  Instances that cannot be weakly
+# referenced (``slots=True`` without ``__weakref__``) get no entry and
+# are canonicalised afresh on every call.  Frozen dataclasses are
+# treated as deeply immutable here — a frozen config holding a list that
+# is mutated in place would go stale, and no repo config does that.
+_FROZEN_MEMO: Dict[int, Tuple["weakref.ref[Any]", Any]] = {}
+
+
+def _evict(key: int, ref: "weakref.ref[Any]") -> None:
+    """Weak-reference callback: drop ``key`` if it still maps to the
+    entry of the object that just died."""
+    entry = _FROZEN_MEMO.get(key)
+    if entry is not None and entry[0] is ref:
+        del _FROZEN_MEMO[key]
 
 
 def _field_names(cls: type) -> Tuple[str, ...]:
@@ -163,11 +175,16 @@ def canonicalize(obj: Any) -> Any:
         # The id() only gates an identity memo — the *stored value* is
         # the content-derived canonical form, so keys themselves never
         # depend on object identity (run-to-run determinism holds).
-        cached = _FROZEN_MEMO.get(id(obj))  # statcheck: ignore[DET004]
+        key = id(obj)  # statcheck: ignore[DET004]
+        cached = _FROZEN_MEMO.get(key)
         if cached is not None:
             return cached[1]
         canon = _dataclass_canon(obj, cls)
-        _FROZEN_MEMO[id(obj)] = (obj, canon)  # statcheck: ignore[DET004]
+        try:
+            ref = weakref.ref(obj, functools.partial(_evict, key))
+        except TypeError:  # no __weakref__ slot: leave it unmemoised
+            return canon
+        _FROZEN_MEMO[key] = (ref, canon)
         return canon
     if kind == _K_MUTABLE_DC:
         return _dataclass_canon(obj, cls)

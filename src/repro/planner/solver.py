@@ -21,7 +21,7 @@ preset it equals the greedy total bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..core.comm_model import DEFAULT_FACTORS, TrafficFactors
 from ..core.config import SystemConfig
@@ -43,6 +43,7 @@ from .transition import (
     ZERO_TRANSITION,
     TransitionCost,
     TransitionCostModel,
+    layout_key,
     transition_cost,
 )
 
@@ -204,18 +205,55 @@ def _plan_network_cached(
         )
 
 
-def _edge(
+def _edge_tables(
     transition: TransitionCostModel,
-    prev: Optional[StrategyCandidate],
-    nxt: StrategyCandidate,
-    layer: ConvLayerSpec,
+    per_layer: List[Tuple[StrategyCandidate, ...]],
+    layers: Tuple[ConvLayerSpec, ...],
     batch: int,
     params: HardwareParams,
     objective: str,
-) -> float:
-    return transition_cost(transition, prev, nxt, layer, batch, params).cost_in(
-        objective
-    )
+) -> Iterator[List[List[float]]]:
+    """Edge costs of each layer step ``i >= 1``, in order: ``table[k][j]``
+    prices entering ``per_layer[i][k]`` from ``per_layer[i - 1][j]``.
+
+    :func:`transition_cost` reads only each side's :func:`layout_key`,
+    so every distinct layout pair is priced once (on its first
+    candidates) and the price is shared by every candidate pair of that
+    layout pair — the same float the per-pair call would return.  Rows
+    of candidates with equal layouts are the same list object.
+    """
+    prev_slot, prev_reps = _layout_slots(per_layer[0])
+    for i in range(1, len(per_layer)):
+        slot, reps = _layout_slots(per_layer[i])
+        rows: List[List[float]] = []
+        for nxt in reps:
+            prices = [
+                transition_cost(
+                    transition, prev, nxt, layers[i], batch, params
+                ).cost_in(objective)
+                for prev in prev_reps
+            ]
+            rows.append([prices[p] for p in prev_slot])
+        yield [rows[s] for s in slot]
+        prev_slot, prev_reps = slot, reps
+
+
+def _layout_slots(
+    candidates: Tuple[StrategyCandidate, ...],
+) -> Tuple[List[int], List[StrategyCandidate]]:
+    """``(slot per candidate, first candidate of each layout)`` in
+    first-seen order."""
+    index: Dict[Hashable, int] = {}
+    slots: List[int] = []
+    reps: List[StrategyCandidate] = []
+    for cand in candidates:
+        key = layout_key(cand)
+        position = index.get(key)
+        if position is None:
+            position = index[key] = len(reps)
+            reps.append(cand)
+        slots.append(position)
+    return slots, reps
 
 
 def _solve_dp(
@@ -247,18 +285,17 @@ def _solve_dp(
         _step_total(0.0, 0.0, c.cost_in(objective)) for c in per_layer[0]
     ]
     back: List[List[int]] = []
-    for i in range(1, len(per_layer)):
-        layer = layers[i]
+    tables = _edge_tables(
+        transition, per_layer, layers, batch, params, objective
+    )
+    for i, table in enumerate(tables, start=1):
         new_totals: List[float] = []
         pointers: List[int] = []
-        for cand in per_layer[i]:
+        for cand, edges in zip(per_layer[i], table):
             cand_cost = cand.cost_in(objective)
             best = None
             best_j = 0
-            for j, prev_cand in enumerate(per_layer[i - 1]):
-                edge = _edge(
-                    transition, prev_cand, cand, layer, batch, params, objective
-                )
+            for j, edge in enumerate(edges):
                 value = _step_total(totals[j], edge, cand_cost)
                 if best is None or value < best:
                     best = value
@@ -300,19 +337,22 @@ def _solve_oracle(
                 "use mode='dp' (exact for chain transitions) or 'beam'"
             )
     n = len(per_layer)
+    # The chain start is free: a zero-cost row entering each first-layer
+    # candidate from the (absent) previous one.
+    tables = [[[0.0] for _ in per_layer[0]]] + list(
+        _edge_tables(transition, per_layer, layers, batch, params, objective)
+    )
     indices = [0] * n
     best_total: Optional[float] = None
     best_indices: Tuple[int, ...] = tuple(indices)
     while True:
         total = 0.0
-        prev_cand: Optional[StrategyCandidate] = None
+        prev_j = 0
         for i in range(n):
-            cand = per_layer[i][indices[i]]
-            edge = _edge(
-                transition, prev_cand, cand, layers[i], batch, params, objective
-            )
-            total = _step_total(total, edge, cand.cost_in(objective))
-            prev_cand = cand
+            j = indices[i]
+            edge = tables[i][j][prev_j]
+            total = _step_total(total, edge, per_layer[i][j].cost_in(objective))
+            prev_j = j
         if best_total is None or total < best_total:
             best_total = total
             best_indices = tuple(indices)
@@ -344,15 +384,15 @@ def _solve_beam(
         for j, cand in enumerate(per_layer[0])
     ]
     states = sorted(states)[:beam_width]
-    for i in range(1, len(per_layer)):
+    tables = _edge_tables(
+        transition, per_layer, layers, batch, params, objective
+    )
+    for i, table in enumerate(tables, start=1):
         expanded: List[Tuple[float, Tuple[int, ...]]] = []
         for total, path in states:
-            prev_cand = per_layer[i - 1][path[-1]]
+            prev_j = path[-1]
             for j, cand in enumerate(per_layer[i]):
-                edge = _edge(
-                    transition, prev_cand, cand, layers[i], batch, params,
-                    objective,
-                )
+                edge = table[j][prev_j]
                 expanded.append(
                     (_step_total(total, edge, cand.cost_in(objective)), path + (j,))
                 )

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..contracts import cost, shaped
+from ..core.config import GridConfig
 from ..ndp.energy import EnergyModel
 from ..params import DEFAULT_PARAMS, HardwareParams
 from ..workloads.layers import ConvLayerSpec
@@ -141,6 +142,17 @@ def _transform_key(candidate: StrategyCandidate) -> Optional[Tuple[int, int]]:
     if candidate.transform is None:
         return None
     return (candidate.transform.m, candidate.transform.r)
+
+
+def layout_key(
+    candidate: StrategyCandidate,
+) -> Tuple[GridConfig, Optional[Tuple[int, int]]]:
+    """Everything :func:`transition_cost` reads from a candidate: its
+    grid and its transform's ``(m, r)`` (the tile size and worker count
+    follow from them).  Candidates with equal layout keys are
+    interchangeable on either side of a transition — the batch split
+    and the scored cost never enter the price."""
+    return (candidate.grid, _transform_key(candidate))
 
 
 def transition_cost(

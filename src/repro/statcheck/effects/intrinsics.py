@@ -110,6 +110,8 @@ _EXACT = {
     "secrets.randbelow": _rng("secrets.randbelow"),
     "uuid.uuid1": _rng("uuid.uuid1"),
     "uuid.uuid4": _rng("uuid.uuid4"),
+    # -- weak references: a fresh handle; the referent is not touched -----
+    "weakref.ref": PURE,
     # -- pathlib constructor is pure (fs access happens via methods) -------
     "pathlib.Path": PURE,
     "pathlib.PurePath": PURE,

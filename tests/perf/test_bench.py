@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.perf import BENCHMARKS, run_benchmarks, write_bench_json
+from repro.perf import bench
 from repro.perf.bench import format_results
 
 
@@ -46,6 +47,51 @@ class TestRunBenchmarks:
         text = format_results(doc)
         assert "fake" in text
         assert "wall_s" in text
+
+
+class TestStatcheckStamp:
+    """The whole-tree statcheck stamp is taken once per tree content."""
+
+    def test_two_machine_stamps_analyse_the_tree_once(self, monkeypatch):
+        import repro.statcheck
+
+        calls = []
+        # A stub pass: the whole-tree analysis is what is being counted,
+        # not what is being tested.
+        monkeypatch.setattr(
+            repro.statcheck, "check_paths", lambda paths: calls.append(paths) or []
+        )
+        monkeypatch.setattr(bench, "_STATCHECK_STAMP", None)
+        first = bench.collect_machine_info()
+        second = bench.collect_machine_info()
+        assert len(calls) == 1
+        assert first["statcheck_findings"] == second["statcheck_findings"] == 0
+        assert first["statcheck_errors"] == second["statcheck_errors"] == 0
+
+    def test_an_edit_invalidates_the_stamp(self, tmp_path, monkeypatch):
+        import repro.statcheck
+
+        real = repro.statcheck.check_paths
+        calls = []
+
+        def counting(paths):
+            calls.append(paths)
+            return real(paths)
+
+        monkeypatch.setattr(repro.statcheck, "check_paths", counting)
+        monkeypatch.setattr(bench, "_STATCHECK_STAMP", None)
+        module = tmp_path / "mod.py"
+        module.write_text("x = 1\n")
+        clean = bench.statcheck_stamp(tmp_path)
+        assert bench.statcheck_stamp(tmp_path) == clean
+        assert len(calls) == 1
+        module.write_text("import random\nx = random.random()\n")
+        edited = bench.statcheck_stamp(tmp_path)
+        assert len(calls) == 2
+        assert edited["statcheck_findings"] > clean["statcheck_findings"]
+        (tmp_path / "other.py").write_text("y = 2\n")
+        bench.statcheck_stamp(tmp_path)
+        assert len(calls) == 3
 
 
 class TestWriteBenchJson:

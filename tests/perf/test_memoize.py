@@ -9,6 +9,7 @@ hand-picking a few.
 """
 
 import dataclasses
+import gc
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ import pytest
 from repro.core.config import GridConfig, MachineConfig, SystemConfig
 from repro.params import HardwareParams
 from repro.perf import canonicalize, memoize_sweep, register_canonical, sweep_key
-from repro.perf.memoize import SweepCache, key_digest
+from repro.perf.memoize import _FROZEN_MEMO, SweepCache, key_digest
 
 
 # ---- canonicalize -----------------------------------------------------------
@@ -75,6 +76,67 @@ class TestCanonicalize:
 
             _CANONICAL_HOOKS.pop(Wrapped, None)
             _KIND_BY_TYPE.pop(Wrapped, None)
+
+
+# ---- the frozen-object identity memo ----------------------------------------
+
+
+@dataclass(frozen=True)
+class Box:
+    value: int
+
+
+@dataclass(frozen=True, slots=True)
+class SlottedBox:
+    value: int
+    tags: tuple
+
+
+class TestFrozenMemoLifecycle:
+    """The id-keyed memo of frozen canonical forms holds weak references:
+    entries die with their objects, and a reused ``id`` never serves a
+    dead object's canonical form."""
+
+    def test_memo_returns_to_baseline_after_objects_die(self):
+        gc.collect()
+        baseline = len(_FROZEN_MEMO)
+        boxes = [Box(i) for i in range(64)]
+        for box in boxes:
+            canonicalize(box)
+        assert len(_FROZEN_MEMO) == baseline + 64
+        del boxes, box
+        gc.collect()
+        assert len(_FROZEN_MEMO) == baseline
+
+    def test_reused_id_gets_its_own_canonical_form(self):
+        first = Box(1)
+        assert canonicalize(first) == ("Box", ("value", 1))
+        freed_id = id(first)
+        del first
+        gc.collect()
+        # Keep every probe alive so the allocator cannot hand the freed
+        # slot back to anything but the next new Box.
+        probes = []
+        for _ in range(1000):
+            probe = Box(2)
+            probes.append(probe)
+            if id(probe) == freed_id:
+                break
+        else:
+            pytest.fail("the freed id was never reused; the test proves nothing")
+        assert canonicalize(probes[-1]) == ("Box", ("value", 2))
+
+    def test_slotted_frozen_dataclass_canonicalises_unmemoised(self):
+        baseline = len(_FROZEN_MEMO)
+        a = SlottedBox(1, (2, 3))
+        canon = canonicalize(a)
+        assert canon == (
+            "SlottedBox", ("value", 1), ("tags", ("seq", 2, 3))
+        )
+        assert canonicalize(a) == canon
+        assert canonicalize(SlottedBox(1, (2, 3))) == canon
+        assert canonicalize(SlottedBox(1, (2, 4))) != canon
+        assert len(_FROZEN_MEMO) == baseline
 
 
 # ---- the field-invalidation property ----------------------------------------

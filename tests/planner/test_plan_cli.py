@@ -15,6 +15,9 @@ from repro.core.config import w_mp_plus_plus
 from repro.workloads import wide_resnet_40_10
 
 GOLDEN = Path(__file__).parent / "golden" / "plan_vgg16.json"
+WIDENED_GOLDEN = (
+    Path(__file__).parent / "golden" / "plan_wrn_rerouted_widened.json"
+)
 
 
 def run_plan(tmp_path, *extra):
@@ -48,6 +51,23 @@ class TestGolden:
         #   python -m repro plan --network vgg16 -o tests/planner/golden/plan_vgg16.json
         payload = run_plan(tmp_path)
         assert payload == GOLDEN.read_bytes()
+
+    def test_widened_rerouted_plan_matches_checked_in_golden(self, tmp_path):
+        # The zero-transition golden above never reaches the solvers'
+        # edge loops; this one prices transitions across grids,
+        # transforms and batch splits in both dp and beam.  The CI
+        # smoke job runs this exact command and diffs the file;
+        # regenerate with:
+        #   python -m repro plan --network wrn-40-10 --transition rerouted \
+        #     --modes dp,beam --search-transforms --batch-splits 1,2,4,8 \
+        #     -o tests/planner/golden/plan_wrn_rerouted_widened.json
+        out = tmp_path / "plan.json"
+        main([
+            "plan", "--network", "wrn-40-10", "--transition", "rerouted",
+            "--modes", "dp,beam", "--search-transforms",
+            "--batch-splits", "1,2,4,8", "-o", str(out),
+        ])
+        assert out.read_bytes() == WIDENED_GOLDEN.read_bytes()
 
 
 class TestReportShape:
