@@ -9,6 +9,18 @@ Messages are split into packets with a fixed header overhead, and
 completion callbacks let higher layers express dependencies (as the
 paper's update-counter task model does).
 
+Only observable work becomes an event.  A packet served on its final hop
+where no loss is possible arrives for certain, and its arrival would
+only count it off its message; so the engine counts it off when it is
+served and schedules one completion event, for the packet that brings
+the message to zero — the last to arrive, since a flow's packets leave a
+link in FIFO order over one route.  ``run`` advances the clock to the
+latest such skipped arrival once the queue drains.  A multi-packet
+message joins its first link's queue in one ``extend`` after its first
+packet.  Completion times, the clock and every counter match an engine
+with one arrival event per packet-hop
+(``tests/netsim/test_engine_elision.py``).
+
 An optional fault injector (:mod:`repro.faults`) can be attached at
 construction: links then honour availability windows (failures delay or
 permanently strand queued packets) and packets can be dropped on a hop,
@@ -148,11 +160,29 @@ class _LinkServer:
         push = heapq.heappush
         seq = sim._seq
         if faults is None or not faults.may_drop:
+            head = batch[0]
+            final = head.hop_index + 1 == len(head.route)
             for packet in batch:
                 wire = packet.wire_bytes
                 done_time += wire / rate
                 link.bytes_carried += wire
-                push(events, (done_time + latency, next(seq), partial(arrived, packet)))
+                if not final:
+                    push(events, (done_time + latency, next(seq), partial(arrived, packet)))
+            if final:
+                # No loss is possible, so every packet here arrives, and
+                # nothing observes an arrival except the one that
+                # completes the message.  The flow's packets leave this
+                # link in FIFO order over one route, so the packet that
+                # empties ``pending_packets`` arrives last; only its
+                # completion becomes an event.  ``run`` still advances
+                # ``now`` to the latest skipped arrival.
+                message = head.message
+                message.pending_packets -= len(batch)
+                arrival = done_time + latency
+                if message.pending_packets == 0:
+                    push(events, (arrival, next(seq), partial(sim._complete, message)))
+                elif arrival > sim._skipped_until:
+                    sim._skipped_until = arrival
         else:
             for packet in batch:
                 wire = packet.wire_bytes
@@ -280,6 +310,10 @@ class NetworkSimulator:
         #: Deferred ``netsim.packets_served`` counter delta (published
         #: once per ``run`` by ``_flush_counters``).
         self._packets_served_accum = 0
+        #: Latest arrival time of a final-hop packet that got no event
+        #: (see ``_LinkServer._serve_next``); ``run`` advances ``now`` to
+        #: it once the heap drains.
+        self._skipped_until = 0.0
 
     # ---- event machinery ---------------------------------------------------
     def schedule(self, time: float, action: Callable[[], None]) -> None:
@@ -290,7 +324,10 @@ class NetworkSimulator:
     def is_quiescent(self) -> bool:
         """No pending events and every link server idle and empty — the
         precondition under which a collective shortcut cannot contend
-        with (or be observed by) anything else in flight."""
+        with (or be observed by) anything else in flight.  A final-hop
+        arrival that got no event needs no check of its own: until its
+        message completes, the message still has a queued packet or its
+        completion event pending."""
         if self._events:
             return False
         for server in self._servers.values():
@@ -299,7 +336,12 @@ class NetworkSimulator:
         return True
 
     def run(self, until: Optional[float] = None) -> float:
-        """Drain the event queue; returns the final simulated time."""
+        """Drain the event queue; returns the final simulated time.
+
+        Once the queue is empty, ``now`` also covers the final-hop
+        arrivals that got no event (``_skipped_until``), capped at
+        ``until``: the clock and the return value are those of an engine
+        that pops one event per arrival."""
         with phase("netsim"):
             processed = 0
             try:
@@ -318,6 +360,9 @@ class NetworkSimulator:
             finally:
                 self.events_processed += processed
                 self._flush_counters()
+        skipped = self._skipped_until
+        if skipped > self.now:
+            self.now = skipped if until is None or skipped <= until else until
         return self.now
 
     def _flush_counters(self) -> None:
@@ -381,18 +426,28 @@ class NetworkSimulator:
                 if not server.busy:
                     server._serve_next()
                 return
-            enqueue = server.enqueue
-            for seq, wire_bytes in enumerate(sizes):
-                enqueue(
-                    _Packet(
-                        wire_bytes=wire_bytes,
-                        flow_id=flow_id,
-                        route=route,
-                        hop_index=0,
-                        message=message,
-                        seq=seq,
-                    )
+            packets = [
+                _Packet(
+                    wire_bytes=wire_bytes,
+                    flow_id=flow_id,
+                    route=route,
+                    hop_index=0,
+                    message=message,
+                    seq=seq,
                 )
+                for seq, wire_bytes in enumerate(sizes)
+            ]
+            # The first packet may start a one-packet burst on an idle
+            # link; the rest only join the flow's queue, so they go in
+            # with one ``extend`` instead of one ``enqueue`` each.  A
+            # burst that emptied the queue dropped the flow, which then
+            # rejoins at the back of the round-robin order.
+            server.enqueue(packets[0])
+            queue = server.queues.get(flow_id)
+            if queue is None:
+                server.queues[flow_id] = deque(packets[1:])
+            else:
+                queue.extend(packets[1:])
 
         self.schedule(start, inject)
 
@@ -429,3 +484,4 @@ class NetworkSimulator:
         self.bytes_delivered = 0
         self.events_processed = 0
         self._packets_served_accum = 0
+        self._skipped_until = 0.0

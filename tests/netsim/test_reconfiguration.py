@@ -56,6 +56,31 @@ class TestRingConnectivity:
         assert bridges
 
 
+class TestSplicePairRoutingDefect:
+    def test_same_cluster_splice_pairs_route_over_the_fbfly(self):
+        """Known defect, pinned so a fix is deliberate: in the one
+        256-worker ring, the four splice pairs whose endpoints share
+        cluster 0 get host bridges, but ``Topology.route`` asks the
+        hybrid's cluster router first, which sends each pair over two
+        narrow ``cluster0-fbfly`` hops.  That ring is not the
+        full-bandwidth cycle ``bridge_ring`` promises, and the collective
+        ring shortcut declines it.  Fixing the routing changes the
+        ``fault_battery`` benchmark digest."""
+        topology = reconfigure(16, 16, 1).topology
+        routes = {
+            (a, b): [(link.src, link.dst, link.name) for link in topology.route(a, b)]
+            for a, b in ((48, 64), (112, 128), (176, 192), (240, 0))
+        }
+        assert routes == {
+            (48, 64): [(48, 0, "cluster0-fbfly"), (0, 64, "cluster0-fbfly")],
+            (112, 128): [(112, 64, "cluster0-fbfly"), (64, 128, "cluster0-fbfly")],
+            (176, 192): [(176, 128, "cluster0-fbfly"), (128, 192, "cluster0-fbfly")],
+            (240, 0): [(240, 192, "cluster0-fbfly"), (192, 0, "cluster0-fbfly")],
+        }
+        for a, b in routes:
+            assert topology.neighbors(a)[b].name == "host-bridge"
+
+
 class TestCollectivesOnLogicalRings:
     def test_allreduce_on_spliced_ring_matches_closed_form(self):
         """A collective on a 16-worker spliced logical ring (4 physical
