@@ -442,8 +442,8 @@ def evaluate_layer_cached(
     """Content-keyed, process-wide cache in front of the perf model.
 
     :meth:`PerfModel.evaluate_layer` routes every evaluation through
-    here; the wrapper's ``cache`` attribute is what the benchmark runner
-    clears and reports (see ``repro.perf.bench``).  The body only runs
+    here; the wrapper's ``cache`` attribute is what a cold run clears
+    (see ``repro.perf.parallel.registered_caches``).  The body only runs
     on a cache miss, so the ``model`` phase attributes pure model time.
     """
     with phase("model"):

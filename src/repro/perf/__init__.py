@@ -1,5 +1,5 @@
 """Cross-cutting performance layer: sweep memoization, wall-time
-attribution and the perf-regression benchmark runner.
+attribution and process-parallel sweep execution.
 
 Three pieces, used together by the figure/ablation sweeps:
 
@@ -8,25 +8,16 @@ Three pieces, used together by the figure/ablation sweeps:
   ``(layer, grid, batch)`` points in a sweep are computed once per
   process (and optionally persisted to disk).
 * :mod:`repro.perf.profiler` — a zero-dependency ``Timer`` plus a
-  global phase/counter registry that benchmarks use to attribute wall
-  time to kernel / netsim / model phases.
-* :mod:`repro.perf.bench` — ``python -m repro bench``: runs the
-  benchmark suite (or a named subset), records wall clock plus the
-  profiling breakdown, and writes the ``BENCH_PR<k>.json`` perf
-  trajectory file future PRs regress against.
+  global phase/counter registry that attributes wall time to kernel /
+  netsim / model phases.
 * :mod:`repro.perf.parallel` — the process-parallel sweep executor:
   shards registered pure-kernel evaluations across worker processes
   through a crash-safe shared disk cache and merges deterministically,
-  so ``repro bench --workers N`` is byte-identical to ``--workers 1``.
+  so a sweep pre-warmed at N workers is byte-identical to a serial one.
+
+The repository's benchmark lives outside the package, in ``perfbench/``.
 """
 
-from .bench import (
-    BENCHMARKS,
-    POINT_ENUMERATORS,
-    collect_machine_info,
-    run_benchmarks,
-    write_bench_json,
-)
 from .memoize import (
     MEMOIZED_SWEEPS,
     SweepCache,
@@ -49,7 +40,6 @@ from .parallel import (
 from .profiler import (
     Timer,
     counter_add,
-    merge_profile,
     phase,
     profiling_disabled,
     profiling_enabled,
@@ -58,32 +48,26 @@ from .profiler import (
 )
 
 __all__ = [
-    "BENCHMARKS",
     "MEMOIZED_SWEEPS",
-    "POINT_ENUMERATORS",
     "SWEEP_MODULES",
     "SweepCache",
     "SweepPoint",
     "Timer",
     "build_key",
     "canonicalize",
-    "collect_machine_info",
     "counter_add",
     "effect_free",
     "import_sweep_modules",
     "key_digest",
     "memoize_sweep",
-    "merge_profile",
     "phase",
     "profiling_disabled",
     "profiling_enabled",
     "register_canonical",
     "registered_caches",
     "reset_profile",
-    "run_benchmarks",
     "run_points",
     "snapshot_profile",
     "sweep_key",
     "sweep_point",
-    "write_bench_json",
 ]

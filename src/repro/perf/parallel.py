@@ -41,12 +41,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .memoize import MEMOIZED_SWEEPS, SweepCache, build_key, key_digest
-from .profiler import (
-    merge_profile,
-    profiling_enabled,
-    reset_profile,
-    snapshot_profile,
-)
 
 #: Modules whose import registers every dispatchable sweep kernel.
 #: Workers import these before touching the registry, so dispatch by
@@ -122,7 +116,6 @@ def _worker_run_chunk(
     worker_id: int,
     cache_dir: str,
     points: List[SweepPoint],
-    profile: bool,
 ) -> Dict[str, Any]:
     """Evaluate one shard of points against the shared disk cache.
 
@@ -134,11 +127,6 @@ def _worker_run_chunk(
     worker's completed points recoverable.
     """
     import_sweep_modules()
-    if profile:
-        # Child-only: shed any profile state inherited across fork so
-        # the returned snapshot is exactly this worker's share.
-        profiling_enabled()
-        reset_profile()
     caches = registered_caches()
     for cache in caches:
         cache.attach_disk(Path(cache_dir))
@@ -149,15 +137,12 @@ def _worker_run_chunk(
         wrapper = _registered_kernel(point.qualname)
         wrapper(*point.args, **dict(point.kwargs))
     wall_s = time.perf_counter() - start
-    snapshot = snapshot_profile() if profile else {}
     return {
         "worker": worker_id,
         "points": len(points),
         "hits": sum(cache.hits for cache in caches) - hits_before,
         "misses": sum(cache.misses for cache in caches) - misses_before,
         "wall_s": wall_s,
-        "phases": snapshot.get("phases", {}),
-        "counters": snapshot.get("counters", {}),
         "completed": True,
     }
 
@@ -178,7 +163,6 @@ def run_points(
     points: Iterable[SweepPoint],
     workers: int = 1,
     cache_dir: Optional[Path] = None,
-    profile: bool = False,
 ) -> Dict[str, Any]:
     """Evaluate sweep points across ``workers`` processes; return stats.
 
@@ -191,9 +175,7 @@ def run_points(
     ``cache_dir`` names the shared disk cache; by default a private
     directory is created and removed after merging.  Pass an explicit
     directory to persist results across runs/processes (warm starts in
-    any process count hit it).  With ``profile=True`` workers return
-    their phase/counter snapshots, which are folded into this process's
-    profiler registry.
+    any process count hit it).
 
     Worker loss is tolerated: a killed worker's completed points are
     already on disk, and the merge loop recomputes whatever is missing
@@ -225,9 +207,7 @@ def run_points(
     prior_disk = [cache.disk_dir for cache in caches]
     try:
         if workers == 1 or len(order) <= 1:
-            stats = _worker_run_chunk(
-                0, str(shared_dir), [by_digest[d] for d in order], False
-            )
+            stats = _worker_run_chunk(0, str(shared_dir), [by_digest[d] for d in order])
             worker_stats.append(stats)
         else:
             shards: List[List[SweepPoint]] = [
@@ -239,9 +219,7 @@ def run_points(
                 max_workers=len(shards), mp_context=_mp_context()
             ) as pool:
                 futures = [
-                    pool.submit(
-                        _worker_run_chunk, index, str(shared_dir), shard, profile
-                    )
+                    pool.submit(_worker_run_chunk, index, str(shared_dir), shard)
                     for index, shard in enumerate(shards)
                 ]
                 for index, future in enumerate(futures):
@@ -257,14 +235,6 @@ def run_points(
                                 "completed": False,
                             }
                         )
-            if profile:
-                for stats in worker_stats:
-                    merge_profile(
-                        {
-                            "phases": stats.get("phases", {}),
-                            "counters": stats.get("counters", {}),
-                        }
-                    )
 
         # Deterministic merge: seed this process's in-memory caches in
         # digest order, reading through the shared disk cache and

@@ -114,17 +114,6 @@ def reset_profile() -> None:
     _counters.clear()
 
 
-def merge_profile(snapshot: Dict[str, Dict]) -> None:
-    """Fold another process's :func:`snapshot_profile` into this
-    registry — the parallel sweep executor aggregates per-worker phase
-    and counter shares back into the parent's breakdown."""
-    for name, data in snapshot.get("phases", {}).items():
-        _phase_seconds[name] = _phase_seconds.get(name, 0.0) + data["seconds"]
-        _phase_calls[name] = _phase_calls.get(name, 0) + data.get("calls", 0)
-    for name, amount in snapshot.get("counters", {}).items():
-        _counters[name] = _counters.get(name, 0) + amount
-
-
 def snapshot_profile() -> Dict[str, Dict]:
     """Copy of the registry: per-phase seconds/calls plus counters."""
     return {

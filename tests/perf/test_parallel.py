@@ -16,9 +16,9 @@ import pytest
 from repro.core.config import PAPER_GRIDS
 from repro.params import DEFAULT_PARAMS
 from repro.perf import memoize_sweep
-from repro.perf.bench import POINT_ENUMERATORS, _sweep_caches
 from repro.perf.parallel import (
     SweepPoint,
+    import_sweep_modules,
     registered_caches,
     run_points,
     sweep_point,
@@ -44,8 +44,43 @@ def _bomb_kernel(n):
 
 
 def _clear_all():
-    for cache in registered_caches():
+    import_sweep_modules()
+    caches = registered_caches()
+    for cache in caches:
         cache.clear()
+    return caches
+
+
+def _clustering_points(kernels):
+    """Every ``_choose_clustering_cached`` evaluation of the Fig. 15
+    sweep (``kernels=(None,)``: the layers as given) or of the Fig. 16
+    sweep (``kernels=(3, 5)``), with the figure drivers' operands."""
+    from repro.core import table4_configs, w_dp
+    from repro.core.comm_model import DEFAULT_FACTORS
+    from repro.core.dynamic_clustering import _choose_clustering_cached
+    from repro.workloads import five_layers
+
+    points = []
+    for kernel in kernels:
+        for base_layer in five_layers():
+            layer = base_layer if kernel is None else base_layer.with_kernel(kernel)
+            for config in [w_dp()] + list(table4_configs()):
+                points.append(
+                    sweep_point(
+                        _choose_clustering_cached,
+                        layer, 256, config, 256, DEFAULT_PARAMS, DEFAULT_FACTORS,
+                    )
+                )
+    return points
+
+
+def _figure_sweep(name):
+    """``(row builder, point enumerator)`` of one figure sweep."""
+    from repro.analysis import fig15_rows, fig16_rows
+
+    if name == "fig15":
+        return fig15_rows, _clustering_points((None,))
+    return fig16_rows, _clustering_points((3, 5))
 
 
 # ---- dispatch gate ----------------------------------------------------------
@@ -110,6 +145,18 @@ class TestRunPointsSerial:
         run_points([sweep_point(_square_kernel, 2)])
         assert _square_kernel.cache.disk_dir is None
 
+    @pytest.mark.parametrize("sweep", ["fig15", "fig16"])
+    def test_enumerators_cover_their_sweeps(self, sweep):
+        """Every enumerated sweep replays with zero misses after a serial
+        pre-warm: the coverage property the bit-identity rests on, checked
+        where the fork start method is unavailable too."""
+        rows, points = _figure_sweep(sweep)
+        caches = _clear_all()
+        run_points(points)
+        misses_before = sum(c.misses for c in caches)
+        rows()
+        assert sum(c.misses for c in caches) == misses_before
+
 
 # ---- parallel determinism ---------------------------------------------------
 
@@ -117,21 +164,18 @@ class TestRunPointsSerial:
 @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
 class TestParallelDeterminism:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_fig15_rows_bit_identical(self, workers):
-        from repro.analysis import fig15_rows
+    @pytest.mark.parametrize("sweep", ["fig15", "fig16"])
+    def test_sweep_rows_bit_identical(self, sweep, workers):
+        rows, points = _figure_sweep(sweep)
+        _clear_all()
+        serial = json.dumps(rows(), sort_keys=True, default=repr)
 
-        caches = _sweep_caches()
-        for cache in caches:
-            cache.clear()
-        serial = json.dumps(fig15_rows(), sort_keys=True, default=repr)
-
-        for cache in caches:
-            cache.clear()
-        stats = run_points(POINT_ENUMERATORS["fig15"](), workers=workers)
+        caches = _clear_all()
+        stats = run_points(points, workers=workers)
         misses_before = sum(c.misses for c in caches)
-        parallel = json.dumps(fig15_rows(), sort_keys=True, default=repr)
+        parallel = json.dumps(rows(), sort_keys=True, default=repr)
         assert parallel == serial
-        # The enumerator covered the sweep: the replay was pure hits.
+        # The merge seeded every point: the replay was pure hits.
         assert sum(c.misses for c in caches) == misses_before
         assert stats["workers"] == workers
 

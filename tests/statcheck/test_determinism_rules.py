@@ -267,7 +267,7 @@ class TestWallClockInSimulation:
             import time
             t = time.time()
             """,
-            path="src/repro/perf/bench.py",
+            path="src/repro/perf/parallel.py",
         ) == []
 
     def test_simulated_time_attribute_quiet(self):

@@ -130,11 +130,11 @@ class TestPAR001SeededMutations:
 
 class TestPAR001OnTheTree:
     def test_real_enumerators_are_clean(self, capsys):
-        """The repository's own dispatch sites (the bench enumerators)
-        target only statically pure kernels."""
-        bench = (
+        """The repository's own dispatch site (the planner report's
+        layer-space pre-warm) targets only statically pure kernels."""
+        report = (
             Path(__file__).resolve().parents[2]
-            / "src" / "repro" / "perf" / "bench.py"
+            / "src" / "repro" / "planner" / "report.py"
         )
-        code, out = run(str(bench), capsys)
+        code, out = run(str(report), capsys)
         assert code == 0, out
