@@ -134,6 +134,31 @@ def netsim_battery_rows() -> List:
     return rows
 
 
+def clustering_points(kernels) -> List:
+    """Every ``_choose_clustering_cached`` evaluation of the Fig. 15
+    sweep (``kernels=(None,)``: the layers as given) or of the Fig. 16
+    sweep (``kernels=(3, 5)``), with the figure drivers' operands."""
+    from repro.core import table4_configs, w_dp
+    from repro.core.comm_model import DEFAULT_FACTORS
+    from repro.core.dynamic_clustering import _choose_clustering_cached
+    from repro.params import DEFAULT_PARAMS
+    from repro.perf.parallel import sweep_point
+    from repro.workloads import five_layers
+
+    points = []
+    for kernel in kernels:
+        for base_layer in five_layers():
+            layer = base_layer if kernel is None else base_layer.with_kernel(kernel)
+            for config in [w_dp()] + list(table4_configs()):
+                points.append(
+                    sweep_point(
+                        _choose_clustering_cached,
+                        layer, 256, config, 256, DEFAULT_PARAMS, DEFAULT_FACTORS,
+                    )
+                )
+    return points
+
+
 def faults_battery_points() -> List:
     """Every scenario on every paper grid, as ``fault_degradation_rows``
     evaluates them."""
@@ -207,6 +232,8 @@ SWEEPS: Dict = {
 
 
 POINTS: Dict = {
+    "fig15": lambda: clustering_points((None,)),
+    "fig16": lambda: clustering_points((3, 5)),
     "faults_battery": faults_battery_points,
     "planner_battery": planner_battery_points,
 }
@@ -237,12 +264,24 @@ def test_faults_battery_matches_pinned_digest(reference, monkeypatch):
     assert cold_digest("faults_battery") == PINNED["faults_battery"]["result_digest"]
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("name", ["faults_battery", "planner_battery"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "fig15",
+        pytest.param("faults_battery", marks=pytest.mark.slow),
+        pytest.param("planner_battery", marks=pytest.mark.slow),
+    ],
+)
 def test_two_worker_prewarm_matches_pinned_digest(name):
     # The serial run is pinned above, so the pin stands for it here.
     caches = clear_sweep_caches()
-    stats = run_points(POINTS[name](), workers=2)
+    points = POINTS[name]()
+    stats = run_points(points, workers=2)
+    assert stats["workers"] == 2
+    assert stats["points"] == len(points)
+    assert stats["unique_points"] <= stats["points"]
+    # Each unique point went to exactly one worker, which finished it.
+    assert sum(w["points"] for w in stats["worker_stats"]) == stats["unique_points"]
     assert all(worker["completed"] for worker in stats["worker_stats"])
     misses_before = sum(cache.misses for cache in caches)
     assert rows_digest(SWEEPS[name]()) == PINNED[name]["result_digest"]

@@ -23,6 +23,7 @@ from repro.perf.parallel import (
     run_points,
     sweep_point,
 )
+from tests.integration.test_digest_gates import POINTS, SWEEPS
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -51,36 +52,9 @@ def _clear_all():
     return caches
 
 
-def _clustering_points(kernels):
-    """Every ``_choose_clustering_cached`` evaluation of the Fig. 15
-    sweep (``kernels=(None,)``: the layers as given) or of the Fig. 16
-    sweep (``kernels=(3, 5)``), with the figure drivers' operands."""
-    from repro.core import table4_configs, w_dp
-    from repro.core.comm_model import DEFAULT_FACTORS
-    from repro.core.dynamic_clustering import _choose_clustering_cached
-    from repro.workloads import five_layers
-
-    points = []
-    for kernel in kernels:
-        for base_layer in five_layers():
-            layer = base_layer if kernel is None else base_layer.with_kernel(kernel)
-            for config in [w_dp()] + list(table4_configs()):
-                points.append(
-                    sweep_point(
-                        _choose_clustering_cached,
-                        layer, 256, config, 256, DEFAULT_PARAMS, DEFAULT_FACTORS,
-                    )
-                )
-    return points
-
-
 def _figure_sweep(name):
     """``(row builder, point enumerator)`` of one figure sweep."""
-    from repro.analysis import fig15_rows, fig16_rows
-
-    if name == "fig15":
-        return fig15_rows, _clustering_points((None,))
-    return fig16_rows, _clustering_points((3, 5))
+    return SWEEPS[name], POINTS[name]()
 
 
 # ---- dispatch gate ----------------------------------------------------------
@@ -164,8 +138,15 @@ class TestRunPointsSerial:
 @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
 class TestParallelDeterminism:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("sweep", ["fig15", "fig16"])
-    def test_sweep_rows_bit_identical(self, sweep, workers):
+    def test_fig15_rows_bit_identical(self, workers):
+        self._assert_rows_bit_identical("fig15", workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_fig16_rows_bit_identical(self, workers):
+        self._assert_rows_bit_identical("fig16", workers)
+
+    @staticmethod
+    def _assert_rows_bit_identical(sweep, workers):
         rows, points = _figure_sweep(sweep)
         _clear_all()
         serial = json.dumps(rows(), sort_keys=True, default=repr)
